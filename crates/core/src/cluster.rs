@@ -1,5 +1,7 @@
 //! Cluster construction and operation: topology → simulated fabric.
 
+use std::collections::BTreeMap;
+
 use rocescale_cc::CcParams;
 use rocescale_dcqcn::CpParams;
 use rocescale_monitor::deadlock::Snapshot;
@@ -19,7 +21,7 @@ use rocescale_switch::{
     WatchdogConfig,
 };
 use rocescale_tcp::{ConnHandle, TcpApp, TcpHost, TcpHostConfig};
-use rocescale_topology::{ClosSpec, Partition, RouteSpec, Tier, Topology};
+use rocescale_topology::{ClosSpec, Incident, Partition, RouteSpec, Tier, Topology};
 use rocescale_transport::QpConfig;
 
 use crate::detect::{DeadlockProbe, ProbeLink};
@@ -252,6 +254,7 @@ impl ClusterBuilder {
             mut worlds,
             topo,
             servers,
+            subnets,
             switches,
             hubs,
             ..
@@ -279,6 +282,7 @@ impl ClusterBuilder {
             topo,
             spec,
             servers,
+            subnets,
             switches,
             telemetry,
             tele,
@@ -429,14 +433,10 @@ impl ClusterBuilder {
             // Port roles from the topology.
             let mut roles = vec![PortRole::Fabric; ports as usize];
             let mut max_meters = 2u32;
-            for l in &topo.links {
-                for (me, peer) in [(l.a, l.b), (l.b, l.a)] {
-                    if me.0 == idx {
-                        max_meters = max_meters.max(l.meters);
-                        if topo.nodes[peer.0].tier == Tier::Server {
-                            roles[me.1.index()] = PortRole::Server;
-                        }
-                    }
+            for &Incident { port, peer, meters } in topo.incident(idx) {
+                max_meters = max_meters.max(meters);
+                if topo.nodes[peer].tier == Tier::Server {
+                    roles[port.index()] = PortRole::Server;
                 }
             }
             cfg.port_roles = roles;
@@ -480,27 +480,22 @@ impl ClusterBuilder {
             }
             // Seed ARP + MAC for directly attached servers; peer MACs for
             // fabric links.
-            for l in &topo.links {
-                for (me, peer) in [(l.a, l.b), (l.b, l.a)] {
-                    if me.0 != idx {
-                        continue;
-                    }
-                    match topo.nodes[peer.0].tier {
-                        Tier::Server => {
-                            let ip = topo.nodes[peer.0].ip.expect("servers have IPs");
-                            sw.seed_arp(ip, server_mac(peer.0), SimTime::ZERO);
-                            // Dead-but-remembered servers (§4.2): the ARP
-                            // entry survives but the MAC→port binding is
-                            // gone, so lossless traffic to them hits the
-                            // incomplete-ARP path.
-                            let dead = order_of[peer.0]
-                                .is_some_and(|o| self.faults.dead_servers.contains(&o));
-                            if !dead {
-                                sw.seed_mac(server_mac(peer.0), me.1, SimTime::ZERO);
-                            }
+            for &Incident { port, peer, .. } in topo.incident(idx) {
+                match topo.nodes[peer].tier {
+                    Tier::Server => {
+                        let ip = topo.nodes[peer].ip.expect("servers have IPs");
+                        sw.seed_arp(ip, server_mac(peer), SimTime::ZERO);
+                        // Dead-but-remembered servers (§4.2): the ARP
+                        // entry survives but the MAC→port binding is
+                        // gone, so lossless traffic to them hits the
+                        // incomplete-ARP path.
+                        let dead =
+                            order_of[peer].is_some_and(|o| self.faults.dead_servers.contains(&o));
+                        if !dead {
+                            sw.seed_mac(server_mac(peer), port, SimTime::ZERO);
                         }
-                        _ => sw.set_peer_mac(me.1, switch_mac(peer.0)),
                     }
+                    _ => sw.set_peer_mac(port, switch_mac(peer)),
                 }
             }
             let sim = worlds[shard as usize].add_node(Box::new(sw));
@@ -572,7 +567,7 @@ impl ClusterBuilder {
         // shard exchange (the partition guarantees only ToR/leaf↔spine
         // links ever cross, so the exchange lookahead is the spine-cable
         // propagation delay).
-        for l in &topo.links {
+        for l in topo.links() {
             let (sa, a) = sim_ids[l.a.0].expect("all nodes instantiated");
             let (sb, b) = sim_ids[l.b.0].expect("all nodes instantiated");
             let spec = LinkSpec::with_length(l.rate_bps, l.meters);
@@ -629,17 +624,7 @@ impl ClusterBuilder {
                     .unwrap_or_else(|| panic!("script server {server} out of range"));
                 let (tor_t, srv_t) = (info.tor_topo_idx, info.topo_idx);
                 let port = topo
-                    .links
-                    .iter()
-                    .find_map(|l| {
-                        if l.a.0 == tor_t && l.b.0 == srv_t {
-                            Some(l.a.1)
-                        } else if l.b.0 == tor_t && l.a.0 == srv_t {
-                            Some(l.b.1)
-                        } else {
-                            None
-                        }
-                    })
+                    .port_toward(tor_t, srv_t)
                     .expect("server has a ToR link");
                 let (shard, sim) = sim_ids[tor_t].expect("ToR instantiated");
                 (shard, sim, port, srv_t)
@@ -659,17 +644,7 @@ impl ClusterBuilder {
                     ScriptAction::FabricLink { a, b, up } => {
                         let (sa, sb) = (find_switch(a), find_switch(b));
                         let port = topo
-                            .links
-                            .iter()
-                            .find_map(|l| {
-                                if l.a.0 == sa.topo_idx && l.b.0 == sb.topo_idx {
-                                    Some(l.a.1)
-                                } else if l.b.0 == sa.topo_idx && l.a.0 == sb.topo_idx {
-                                    Some(l.b.1)
-                                } else {
-                                    None
-                                }
-                            })
+                            .port_toward(sa.topo_idx, sb.topo_idx)
                             .unwrap_or_else(|| panic!("no fabric link {a:?} <-> {b:?}"));
                         sched_admin(
                             &mut worlds[sa.shard as usize],
@@ -775,6 +750,7 @@ impl ClusterBuilder {
             worlds,
             partition,
             topo,
+            subnets: SubnetIndex::new(&servers),
             servers,
             switches,
             hubs,
@@ -797,13 +773,14 @@ pub(crate) fn probe_wiring(
         .iter()
         .map(|s| (s.name.clone(), s.shard, s.sim))
         .collect();
+    let mut switch_of = vec![None; topo.nodes.len()];
+    for (i, s) in switches.iter().enumerate() {
+        switch_of[s.topo_idx] = Some(i);
+    }
     let mut probe_links = Vec::new();
-    for l in &topo.links {
+    for l in topo.links() {
         for (me, peer) in [(l.a, l.b), (l.b, l.a)] {
-            if topo.nodes[me.0].tier == Tier::Server {
-                continue;
-            }
-            let Some(sw_idx) = switches.iter().position(|s| s.topo_idx == me.0) else {
+            let Some(sw_idx) = switch_of[me.0] else {
                 continue;
             };
             probe_links.push(ProbeLink {
@@ -824,6 +801,7 @@ pub(crate) struct BuiltParts {
     pub(crate) partition: Partition,
     pub(crate) topo: Topology,
     pub(crate) servers: Vec<ServerInfo>,
+    pub(crate) subnets: SubnetIndex,
     pub(crate) switches: Vec<SwitchInfo>,
     pub(crate) hubs: Vec<MetricsHub>,
     /// Per-shard trace banks (parallel to `hubs`; empty when no sink was
@@ -862,9 +840,30 @@ impl ClusterTele {
     }
 }
 
+/// Servers by the /24 their address falls in (`ip & 0xffff_ff00`), each
+/// list in server order: what `servers_under` returns, built once.
+pub(crate) struct SubnetIndex(BTreeMap<u32, Vec<ServerId>>);
+
+impl SubnetIndex {
+    fn new(servers: &[ServerInfo]) -> SubnetIndex {
+        let mut map: BTreeMap<u32, Vec<ServerId>> = BTreeMap::new();
+        for (i, s) in servers.iter().enumerate() {
+            map.entry(s.ip & 0xffff_ff00).or_default().push(ServerId(i));
+        }
+        SubnetIndex(map)
+    }
+
+    /// The servers whose address lies in ToR `tor`'s /24 of pod `pod`.
+    /// Above 254 servers per ToR addresses spill into the next /24, so a
+    /// list can then be short or hold a neighbouring rack's servers.
+    pub(crate) fn servers_under(&self, pod: u32, tor: u32) -> Vec<ServerId> {
+        let subnet = rocescale_topology::tor_subnet(pod, tor);
+        self.0.get(&subnet).cloned().unwrap_or_default()
+    }
+}
+
 #[derive(Debug, Clone)]
 pub(crate) struct ServerInfo {
-    #[allow(dead_code)]
     pub(crate) topo_idx: usize,
     /// Owning shard (always 0 in a single-world [`Cluster`]).
     pub(crate) shard: u32,
@@ -878,7 +877,6 @@ pub(crate) struct ServerInfo {
 
 #[derive(Debug, Clone)]
 pub(crate) struct SwitchInfo {
-    #[allow(dead_code)]
     pub(crate) topo_idx: usize,
     /// Owning shard (always 0 in a single-world [`Cluster`]).
     pub(crate) shard: u32,
@@ -897,6 +895,7 @@ pub struct Cluster {
     topo: Topology,
     spec: ClosSpec,
     servers: Vec<ServerInfo>,
+    subnets: SubnetIndex,
     switches: Vec<SwitchInfo>,
     telemetry: MetricsHub,
     tele: ClusterTele,
@@ -936,13 +935,7 @@ impl Cluster {
 
     /// The servers under `tor` (pod-relative index), in port order.
     pub fn servers_under(&self, pod: u32, tor: u32) -> Vec<ServerId> {
-        let subnet = rocescale_topology::tor_subnet(pod, tor);
-        self.servers
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.ip & 0xffff_ff00 == subnet)
-            .map(|(i, _)| ServerId(i))
-            .collect()
+        self.subnets.servers_under(pod, tor)
     }
 
     /// A server's IP.

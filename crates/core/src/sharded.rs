@@ -43,7 +43,8 @@ use rocescale_switch::{DropReason, Switch};
 use rocescale_topology::{ClosSpec, Partition, Tier, Topology};
 
 use crate::cluster::{
-    probe_wiring, BuiltParts, ClusterTele, ServerId, ServerInfo, ServerKind, SwitchInfo,
+    probe_wiring, BuiltParts, ClusterTele, ServerId, ServerInfo, ServerKind, SubnetIndex,
+    SwitchInfo,
 };
 use crate::detect::DeadlockProbe;
 
@@ -64,6 +65,7 @@ pub struct ShardedCluster {
     spec: ClosSpec,
     partition: Partition,
     servers: Vec<ServerInfo>,
+    subnets: SubnetIndex,
     switches: Vec<SwitchInfo>,
     hubs: Vec<MetricsHub>,
     obs: Vec<ShardObs>,
@@ -82,6 +84,7 @@ impl ShardedCluster {
             partition,
             topo,
             servers,
+            subnets,
             switches,
             hubs,
             banks,
@@ -119,6 +122,7 @@ impl ShardedCluster {
             spec,
             partition,
             servers,
+            subnets,
             switches,
             hubs,
             obs,
@@ -202,13 +206,7 @@ impl ShardedCluster {
 
     /// The servers under `tor` (pod-relative index), in port order.
     pub fn servers_under(&self, pod: u32, tor: u32) -> Vec<ServerId> {
-        let subnet = rocescale_topology::tor_subnet(pod, tor);
-        self.servers
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.ip & 0xffff_ff00 == subnet)
-            .map(|(i, _)| ServerId(i))
-            .collect()
+        self.subnets.servers_under(pod, tor)
     }
 
     /// A server's IP.

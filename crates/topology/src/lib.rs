@@ -81,13 +81,31 @@ pub enum RouteSpec {
     },
 }
 
+/// One link as seen from one of its endpoints.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Incident {
+    /// This node's port on the link.
+    pub port: PortId,
+    /// The node at the far end.
+    pub peer: usize,
+    /// Cable length, metres.
+    pub meters: u32,
+}
+
 /// A complete topology: nodes, links, and per-switch routes.
+///
+/// The links are fixed at construction, together with an adjacency
+/// index over them (every node's incident links, in link order), so the
+/// per-node lookups cost O(degree) rather than a scan of every link.
 #[derive(Debug, Clone)]
 pub struct Topology {
     /// Nodes; index = id.
     pub nodes: Vec<TopoNode>,
-    /// Links.
-    pub links: Vec<TopoLink>,
+    links: Vec<TopoLink>,
+    /// `adj[adj_start[n]..adj_start[n + 1]]` are node `n`'s incident
+    /// links (compressed rows, built once by [`Topology::clos`]).
+    adj_start: Vec<usize>,
+    adj: Vec<Incident>,
     /// Routes per node id (empty for servers).
     pub routes: Vec<Vec<RouteSpec>>,
 }
@@ -203,6 +221,8 @@ impl Topology {
         let mut t = Topology {
             nodes: Vec::new(),
             links: Vec::new(),
+            adj_start: Vec::new(),
+            adj: Vec::new(),
             routes: Vec::new(),
         };
         let mut tor_ids = vec![vec![0usize; spec.tors_per_pod as usize]; spec.pods as usize];
@@ -280,6 +300,7 @@ impl Topology {
                 }
             }
         }
+        t.index_links();
         // Routes (up-down).
         t.routes = vec![Vec::new(); t.nodes.len()];
         for p in 0..spec.pods {
@@ -339,6 +360,58 @@ impl Topology {
         self.nodes.len() - 1
     }
 
+    /// Build the adjacency index: count each node's degree, then append
+    /// both endpoints of every link in link order, so each node's slice
+    /// lists its links in the order of [`links`](Self::links).
+    fn index_links(&mut self) {
+        let mut start = vec![0usize; self.nodes.len() + 1];
+        for l in &self.links {
+            start[l.a.0 + 1] += 1;
+            start[l.b.0 + 1] += 1;
+        }
+        for i in 1..start.len() {
+            start[i] += start[i - 1];
+        }
+        let mut next = start.clone();
+        let blank = Incident {
+            port: PortId(0),
+            peer: 0,
+            meters: 0,
+        };
+        let mut adj = vec![blank; 2 * self.links.len()];
+        for l in &self.links {
+            for (me, peer) in [(l.a, l.b), (l.b, l.a)] {
+                adj[next[me.0]] = Incident {
+                    port: me.1,
+                    peer: peer.0,
+                    meters: l.meters,
+                };
+                next[me.0] += 1;
+            }
+        }
+        self.adj_start = start;
+        self.adj = adj;
+    }
+
+    /// Links, in construction order.
+    pub fn links(&self) -> &[TopoLink] {
+        &self.links
+    }
+
+    /// A node's incident links, in link order (a link joining a node to
+    /// itself appears twice, its `a` end first).
+    pub fn incident(&self, node: usize) -> &[Incident] {
+        &self.adj[self.adj_start[node]..self.adj_start[node + 1]]
+    }
+
+    /// `a`'s port on the first link (in link order) joining it to `b`.
+    pub fn port_toward(&self, a: usize, b: usize) -> Option<PortId> {
+        self.incident(a)
+            .iter()
+            .find(|i| i.peer == b)
+            .map(|i| i.port)
+    }
+
     /// Number of pods actually present (max pod index + 1 over
     /// non-spine nodes; 0 for an all-spine or empty topology).
     pub fn pod_count(&self) -> u32 {
@@ -362,32 +435,20 @@ impl Topology {
 
     /// Number of ports each node needs (max port index + 1 over links).
     pub fn port_count(&self, node: usize) -> u16 {
-        let mut max = 0u16;
-        for l in &self.links {
-            if l.a.0 == node {
-                max = max.max(l.a.1 .0 + 1);
-            }
-            if l.b.0 == node {
-                max = max.max(l.b.1 .0 + 1);
-            }
-        }
-        max
+        self.incident(node)
+            .iter()
+            .map(|i| i.port.0 + 1)
+            .max()
+            .unwrap_or(0)
     }
 
     /// The server node ids under a given ToR id, in port order.
     pub fn servers_of_tor(&self, tor: usize) -> Vec<usize> {
         let mut out: Vec<(PortId, usize)> = self
-            .links
+            .incident(tor)
             .iter()
-            .filter_map(|l| {
-                if l.a.0 == tor && self.nodes[l.b.0].tier == Tier::Server {
-                    Some((l.a.1, l.b.0))
-                } else if l.b.0 == tor && self.nodes[l.a.0].tier == Tier::Server {
-                    Some((l.b.1, l.a.0))
-                } else {
-                    None
-                }
-            })
+            .filter(|i| self.nodes[i.peer].tier == Tier::Server)
+            .map(|i| (i.port, i.peer))
             .collect();
         out.sort();
         out.into_iter().map(|(_, s)| s).collect()
@@ -395,15 +456,11 @@ impl Topology {
 
     /// The ToR id a server connects to.
     pub fn tor_of_server(&self, server: usize) -> usize {
-        for l in &self.links {
-            if l.a.0 == server && self.nodes[l.b.0].tier == Tier::Tor {
-                return l.b.0;
-            }
-            if l.b.0 == server && self.nodes[l.a.0].tier == Tier::Tor {
-                return l.a.0;
-            }
-        }
-        panic!("server {server} has no ToR link");
+        self.incident(server)
+            .iter()
+            .map(|i| i.peer)
+            .find(|&p| self.nodes[p].tier == Tier::Tor)
+            .unwrap_or_else(|| panic!("server {server} has no ToR link"))
     }
 }
 

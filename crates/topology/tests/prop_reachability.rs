@@ -33,7 +33,7 @@ fn lookup(routes: &[RouteSpec], dst: u32) -> Option<&RouteSpec> {
 
 /// The node on the other end of (`node`, `port`).
 fn peer(topo: &Topology, node: usize, port: PortId) -> usize {
-    for l in &topo.links {
+    for l in topo.links() {
         if l.a == (node, port) {
             return l.b.0;
         }
@@ -62,7 +62,7 @@ fn verify_pair(topo: &Topology, src: usize, dst: usize) -> Result<(), String> {
     let start = {
         // Server's first hop is its ToR.
         let mut tor = None;
-        for l in &topo.links {
+        for l in topo.links() {
             if l.a.0 == src && topo.nodes[l.b.0].tier == Tier::Tor {
                 tor = Some(l.b.0);
             }

@@ -314,7 +314,7 @@ fn paper_scale_topology_materializes() {
     let topo = Topology::clos(&spec);
     assert_eq!(topo.of_tier(Tier::Server).len(), 1152);
     // 1152 server links + 2×24×4 ToR-leaf + 2×64 leaf-spine.
-    assert_eq!(topo.links.len(), 1152 + 192 + 128);
+    assert_eq!(topo.links().len(), 1152 + 192 + 128);
 }
 
 /// The full Pingmesh service: install on every RDMA server, run, and get
