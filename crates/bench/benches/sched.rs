@@ -6,7 +6,7 @@
 use rocescale_bench::harness::{
     bench, bench_elements, section, write_json_artifact_with, Measurement,
 };
-use rocescale_core::{Cluster, ClusterBuilder, ServerId};
+use rocescale_core::{Cluster, ClusterBuilder, InstrumentationProfile, ServerId};
 use rocescale_monitor::{profile_json, Json, MetricsHub};
 use rocescale_nic::QpApp;
 use rocescale_sim::sched::EventQueue;
@@ -92,9 +92,12 @@ fn build_incast_full(
     let mut cl = ClusterBuilder::new(spec)
         .seed(11)
         .engine(engine)
-        .digest(digest)
-        .telemetry(hub)
-        .profile(profile)
+        .instrumentation(
+            InstrumentationProfile::paper_default()
+                .digest(digest)
+                .telemetry(hub)
+                .profiler(profile),
+        )
         .build();
     for i in 1..=fan_in {
         cl.connect_qp(

@@ -146,14 +146,14 @@ impl Measurement {
     }
 }
 
-/// Benchmark a closure: returns the best-of-[`BATCHES`] per-iteration
+/// Benchmark a closure: returns the best-of-`BATCHES` per-iteration
 /// time. The closure's result is passed through [`black_box`] so the
 /// optimizer cannot delete the work.
 pub fn bench<T>(name: &str, mut f: impl FnMut() -> T) -> Measurement {
     bench_impl(name, None, &mut f)
 }
 
-/// Like [`bench`], attaching an elements-per-iteration count so the
+/// Like [`bench()`], attaching an elements-per-iteration count so the
 /// report includes throughput (e.g. simulated events per second).
 pub fn bench_elements<T>(name: &str, elements: u64, mut f: impl FnMut() -> T) -> Measurement {
     bench_impl(name, Some(elements), &mut f)

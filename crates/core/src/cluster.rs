@@ -1,12 +1,19 @@
 //! Cluster construction and operation: topology → simulated fabric.
+//!
+//! [`Cluster`] is generic over its [`Engine`]: one [`World`] (the
+//! default) or a [`ShardedWorld`] of per-pod worlds. Everything both
+//! flavours do has one definition here; the shard-only accessors live
+//! in [`crate::sharded`].
 
 use std::collections::BTreeMap;
 
 use rocescale_cc::CcParams;
 use rocescale_dcqcn::CpParams;
 use rocescale_monitor::deadlock::Snapshot;
+use rocescale_monitor::pingmesh::ProbeResult;
 use rocescale_monitor::{
-    GaugeId, MemorySink, MetricsHub, QueueSample, ScopeId, TelemetryConfig, TraceSink,
+    GaugeId, MemorySink, MetricsHub, OwnedRecord, Pingmesh, QueueSample, ScopeId, StreamRecord,
+    TelemetryConfig, TraceSink,
 };
 use rocescale_nic::{
     host::{TOK_INJECT_STORM, TOK_STOP_STORM},
@@ -14,7 +21,7 @@ use rocescale_nic::{
 };
 use rocescale_packet::{MacAddr, Priority};
 use rocescale_sim::{
-    DigestMode, EngineKind, LinkSpec, NodeId, PortId, ProfileMode, RemotePort, SimTime, World,
+    EngineKind, LinkSpec, Node, NodeId, PortId, RemotePort, ShardedWorld, SimTime, World,
 };
 use rocescale_switch::{
     AdminAction, BufferConfig, ClassifyMode, DropReason, EcmpGroup, PortRole, Switch, SwitchConfig,
@@ -29,6 +36,7 @@ use crate::instrument::InstrumentationProfile;
 use crate::profiles::{
     ExecutionProfile, FabricProfile, FaultProfile, ScriptAction, TransportProfile,
 };
+use crate::sharded::ShardedCluster;
 
 /// Per-shard world-seed stride: shard `s` seeds its world with
 /// `seed + s * STRIDE`, so shard 0 keeps the builder's seed (and thus
@@ -153,9 +161,10 @@ impl ClusterBuilder {
 
     /// Replace the observation profile: telemetry hub, dispatch digest,
     /// dispatch profiler, and streaming trace sink, as one coherent
-    /// group. This is the preferred surface; the loose
-    /// [`telemetry`](Self::telemetry) / [`digest`](Self::digest) /
-    /// [`profile`](Self::profile) setters below are shims into it.
+    /// group. With an enabled hub every switch, NIC and TCP host
+    /// registers its instruments on it, and [`Cluster::run_until`]
+    /// drives sim-time-aligned sampling; the default (disabled) hub
+    /// costs nothing and leaves the dispatch digest untouched.
     pub fn instrumentation(mut self, i: InstrumentationProfile) -> Self {
         self.instr = i;
         self
@@ -171,20 +180,6 @@ impl ClusterBuilder {
         self
     }
 
-    /// Attach a telemetry hub. Every switch, NIC and TCP host registers
-    /// its instruments on it, and [`Cluster::run_until`] drives
-    /// sim-time-aligned time-series sampling. The default (disabled) hub
-    /// costs nothing and leaves the dispatch digest untouched.
-    ///
-    /// Deprecated shim into [`InstrumentationProfile::telemetry`], kept
-    /// so pre-profile callers keep compiling; it preserves any sink or
-    /// mode already set. New code should pass one
-    /// [`instrumentation`](Self::instrumentation) profile.
-    pub fn telemetry(mut self, hub: MetricsHub) -> Self {
-        self.instr.telemetry = hub;
-        self
-    }
-
     /// RNG seed (every run with the same seed is identical).
     pub fn seed(mut self, s: u64) -> Self {
         self.seed = s;
@@ -196,28 +191,6 @@ impl ClusterBuilder {
     /// and wheel-vs-heap benchmarks.
     pub fn engine(mut self, e: EngineKind) -> Self {
         self.engine = e;
-        self
-    }
-
-    /// Dispatch-digest mode for the world (default: on). Fleet/bench runs
-    /// that don't check golden traces can switch it off to trim the
-    /// per-event hot path; results are identical either way.
-    ///
-    /// Deprecated shim into [`InstrumentationProfile::digest`].
-    pub fn digest(mut self, d: DigestMode) -> Self {
-        self.instr.digest = d;
-        self
-    }
-
-    /// Dispatch-profiler mode for the world (default: off). With it on,
-    /// the world wall-clocks every handler dispatch bucketed by event
-    /// kind; read the result via [`rocescale_sim::World::event_profile`]
-    /// on `cluster.world`. Simulated results and the dispatch digest are
-    /// identical either way.
-    ///
-    /// Deprecated shim into [`InstrumentationProfile::profiler`].
-    pub fn profile(mut self, p: ProfileMode) -> Self {
-        self.instr.profile = p;
         self
     }
 
@@ -249,58 +222,18 @@ impl ClusterBuilder {
     /// Instantiate the cluster (one world, one thread — the golden-trace
     /// path, whatever the execution profile says).
     pub fn build(mut self) -> Cluster {
-        let spec = self.spec;
-        let BuiltParts {
-            mut worlds,
-            topo,
-            servers,
-            subnets,
-            switches,
-            hubs,
-            ..
-        } = self.build_parts(1);
-        let world = worlds.pop().expect("one shard builds one world");
-        let telemetry = hubs.into_iter().next().expect("one shard builds one hub");
-
-        // Live deadlock probe over every switch egress that faces another
-        // device (fabric links both directions, plus switch→server ports
-        // so storm victims show up as wait-chain leaves).
-        let (probe_switches, probe_links) = probe_wiring(&topo, &switches);
-        let deadlock = DeadlockProbe::new_sharded(
-            &telemetry,
-            probe_switches,
-            probe_links,
-            vec![Priority::new(3), Priority::new(4)],
-            3,
-        );
-
-        // Fleet-level gauges published at each sample tick.
-        let tele = ClusterTele::register(&telemetry, &switches);
-
-        Cluster {
-            world,
-            topo,
-            spec,
-            servers,
-            subnets,
-            switches,
-            telemetry,
-            tele,
-            deadlock,
-        }
+        Cluster::from_parts(self.build_parts(1))
     }
 
     /// Instantiate the cluster as per-pod worker shards advanced through
-    /// the conservative exchange (see [`crate::ShardedCluster`]). The
+    /// the conservative exchange (see [`ShardedCluster`]). The
     /// [`ExecutionProfile`] chooses the shard count; `SingleThread` (or a
     /// single-pod topology, which the partition collapses) yields one
     /// shard whose event stream — and dispatch digest — is byte-identical
     /// to [`build`](Self::build)'s.
-    pub fn build_sharded(mut self) -> crate::ShardedCluster {
-        let spec = self.spec;
+    pub fn build_sharded(mut self) -> ShardedCluster {
         let shards = self.execution.shard_count();
-        let parts = self.build_parts(shards);
-        crate::ShardedCluster::from_parts(parts, spec)
+        Cluster::from_parts(self.build_parts(shards))
     }
 
     /// Everything `build` and `build_sharded` share: instantiate every
@@ -308,7 +241,7 @@ impl ClusterBuilder {
     /// decides ownership), wire local links directly and boundary links
     /// as mirrored remote ports, and translate the fault profile into
     /// timers on the owning shards. With one effective shard this is
-    /// exactly the historical single-world construction.
+    /// exactly the single-world construction.
     fn build_parts(&mut self, shards: u32) -> BuiltParts {
         // A trace sink needs a live hub to stream through; upgrade a
         // disabled hub before any device registers instruments, then
@@ -320,11 +253,11 @@ impl ClusterBuilder {
         let partition = Partition::pods(&topo, shards);
         let nshards = partition.shards() as usize;
         // With one effective shard the caller's sink attaches directly to
-        // the hub (the historical path — record bytes unchanged, no shard
-        // tag). With several, each shard's hub streams into its own
-        // MemorySink bank and the caller's sink becomes the merge target:
-        // ShardedCluster drains the banks in deterministic order at every
-        // flush boundary and stamps each record with its shard.
+        // the hub (record bytes carry no shard tag). With several, each
+        // shard's hub streams into its own MemorySink bank and the
+        // caller's sink becomes the merge target: the cluster drains the
+        // banks in deterministic order at every flush boundary and stamps
+        // each record with its shard.
         let mut deferred_sink = None;
         if let Some((sink, filter)) = self.instr.sink.take() {
             if nshards == 1 {
@@ -336,8 +269,8 @@ impl ClusterBuilder {
         // Shard-local telemetry banks: shard 0 keeps the builder's hub
         // (so the single-shard path is unchanged and callers hold a live
         // handle), every other shard gets its own bank with the same
-        // enablement and sampling cadence. Snapshots merge them by name
-        // (ShardedCluster).
+        // enablement and sampling cadence. Sharded snapshots merge them by
+        // name.
         let hubs: Vec<MetricsHub> = (0..nshards)
             .map(|s| {
                 if s == 0 {
@@ -406,8 +339,10 @@ impl ClusterBuilder {
             }
         };
 
-        // Each node's (shard, shard-local sim id) once instantiated.
+        // Each node's (shard, shard-local sim id) once instantiated, and
+        // each switch node's index into `switches`.
         let mut sim_ids: Vec<Option<(u32, NodeId)>> = vec![None; n];
+        let mut switch_of: Vec<Option<usize>> = vec![None; n];
         let mut servers: Vec<ServerInfo> = Vec::new();
         let mut switches: Vec<SwitchInfo> = Vec::new();
 
@@ -500,6 +435,7 @@ impl ClusterBuilder {
             }
             let sim = worlds[shard as usize].add_node(Box::new(sw));
             sim_ids[idx] = Some((shard, sim));
+            switch_of[idx] = Some(switches.len());
             switches.push(SwitchInfo {
                 topo_idx: idx,
                 shard,
@@ -558,7 +494,7 @@ impl ClusterBuilder {
                 kind,
                 ip,
                 pod: node.pod,
-                tor_topo_idx: tor_idx,
+                tor: switch_of[tor_idx].expect("a server's ToR is a switch"),
             });
         }
 
@@ -622,12 +558,11 @@ impl ClusterBuilder {
                 let info = servers
                     .get(server)
                     .unwrap_or_else(|| panic!("script server {server} out of range"));
-                let (tor_t, srv_t) = (info.tor_topo_idx, info.topo_idx);
+                let tor = &switches[info.tor];
                 let port = topo
-                    .port_toward(tor_t, srv_t)
+                    .port_toward(tor.topo_idx, info.topo_idx)
                     .expect("server has a ToR link");
-                let (shard, sim) = sim_ids[tor_t].expect("ToR instantiated");
-                (shard, sim, port, srv_t)
+                (tor.shard, tor.sim, port, info.topo_idx)
             };
             let script = std::mem::take(&mut self.faults.script);
             for (at, action) in &script {
@@ -747,8 +682,10 @@ impl ClusterBuilder {
         }
 
         BuiltParts {
+            spec: self.spec,
             worlds,
             partition,
+            probe: probe_wiring(&topo, &switches, &switch_of),
             topo,
             subnets: SubnetIndex::new(&servers),
             servers,
@@ -763,20 +700,17 @@ impl ClusterBuilder {
 /// The deadlock probe's wiring over a built fabric: every switch keyed by
 /// (name, shard, sim id), and every switch egress that faces another
 /// device (fabric links both directions, plus switch→server ports so
-/// storm victims show up as wait-chain leaves). Shared by `build` and the
-/// sharded cluster so both flavours run the identical probe.
-pub(crate) fn probe_wiring(
+/// storm victims show up as wait-chain leaves). `switch_of` maps a
+/// topology node to its index in `switches`.
+fn probe_wiring(
     topo: &Topology,
     switches: &[SwitchInfo],
-) -> (Vec<(String, u32, NodeId)>, Vec<ProbeLink>) {
+    switch_of: &[Option<usize>],
+) -> ProbeWiring {
     let probe_switches: Vec<(String, u32, NodeId)> = switches
         .iter()
         .map(|s| (s.name.clone(), s.shard, s.sim))
         .collect();
-    let mut switch_of = vec![None; topo.nodes.len()];
-    for (i, s) in switches.iter().enumerate() {
-        switch_of[s.topo_idx] = Some(i);
-    }
     let mut probe_links = Vec::new();
     for l in topo.links() {
         for (me, peer) in [(l.a, l.b), (l.b, l.a)] {
@@ -793,56 +727,75 @@ pub(crate) fn probe_wiring(
     (probe_switches, probe_links)
 }
 
+/// The deadlock probe's switches and monitored egresses.
+type ProbeWiring = (Vec<(String, u32, NodeId)>, Vec<ProbeLink>);
+
 /// What [`ClusterBuilder::build_parts`] hands back: every device
 /// instantiated into its shard's world and fully wired, plus the index
-/// structures both cluster flavours need.
-pub(crate) struct BuiltParts {
-    pub(crate) worlds: Vec<World>,
-    pub(crate) partition: Partition,
-    pub(crate) topo: Topology,
-    pub(crate) servers: Vec<ServerInfo>,
-    pub(crate) subnets: SubnetIndex,
-    pub(crate) switches: Vec<SwitchInfo>,
-    pub(crate) hubs: Vec<MetricsHub>,
+/// structures the cluster needs.
+struct BuiltParts {
+    spec: ClosSpec,
+    worlds: Vec<World>,
+    partition: Partition,
+    probe: ProbeWiring,
+    topo: Topology,
+    servers: Vec<ServerInfo>,
+    subnets: SubnetIndex,
+    switches: Vec<SwitchInfo>,
+    hubs: Vec<MetricsHub>,
     /// Per-shard trace banks (parallel to `hubs`; empty when no sink was
     /// configured or one effective shard attached it directly).
-    pub(crate) banks: Vec<MemorySink>,
+    banks: Vec<MemorySink>,
     /// The caller's sink, deferred for the sharded merge (multi-shard
     /// builds with a sink configured; `None` otherwise).
-    pub(crate) sink: Option<Box<dyn TraceSink>>,
+    sink: Option<Box<dyn TraceSink>>,
 }
 
-/// Cluster-level gauge ids (sentinels when telemetry is disabled).
-pub(crate) struct ClusterTele {
-    pub(crate) engine_events: GaugeId,
-    pub(crate) engine_pending: GaugeId,
-    pub(crate) switch_backlog: Vec<GaugeId>,
+/// One shard's observation bank: fleet-level gauge ids and trace scopes
+/// registered on that shard's hub (sentinels when telemetry is
+/// disabled), over the switches the shard owns.
+struct ShardObs {
+    engine_events: GaugeId,
+    engine_pending: GaugeId,
+    /// Indices (into the cluster's switch list) of the switches this
+    /// shard owns, parallel to the two vectors below.
+    switch_idx: Vec<usize>,
+    switch_backlog: Vec<GaugeId>,
     /// Each switch's trace scope (`switch.{name}` — the same name its
     /// own `SwitchTele` registers, so streamed queue samples land under
     /// the same scope as the switch's hop records and events).
-    pub(crate) switch_scopes: Vec<ScopeId>,
+    switch_scopes: Vec<ScopeId>,
 }
 
-impl ClusterTele {
-    pub(crate) fn register(hub: &MetricsHub, switches: &[SwitchInfo]) -> ClusterTele {
-        ClusterTele {
+impl ShardObs {
+    fn register(hub: &MetricsHub, shard: u32, switches: &[SwitchInfo]) -> ShardObs {
+        let switch_idx: Vec<usize> = (0..switches.len())
+            .filter(|&i| switches[i].shard == shard)
+            .collect();
+        ShardObs {
             engine_events: hub.gauge("engine.events_processed"),
             engine_pending: hub.gauge("engine.pending"),
-            switch_backlog: switches
+            switch_backlog: switch_idx
                 .iter()
-                .map(|sw| hub.gauge(&format!("switch.{}.lossless_backlog_bytes", sw.name)))
+                .map(|&i| {
+                    hub.gauge(&format!(
+                        "switch.{}.lossless_backlog_bytes",
+                        switches[i].name
+                    ))
+                })
                 .collect(),
-            switch_scopes: switches
+            switch_scopes: switch_idx
                 .iter()
-                .map(|sw| hub.scope(&format!("switch.{}", sw.name)))
+                .map(|&i| hub.scope(&format!("switch.{}", switches[i].name)))
                 .collect(),
+            switch_idx,
         }
     }
 }
 
 /// Servers by the /24 their address falls in (`ip & 0xffff_ff00`), each
 /// list in server order: what `servers_under` returns, built once.
-pub(crate) struct SubnetIndex(BTreeMap<u32, Vec<ServerId>>);
+struct SubnetIndex(BTreeMap<u32, Vec<ServerId>>);
 
 impl SubnetIndex {
     fn new(servers: &[ServerInfo]) -> SubnetIndex {
@@ -856,7 +809,7 @@ impl SubnetIndex {
     /// The servers whose address lies in ToR `tor`'s /24 of pod `pod`.
     /// Above 254 servers per ToR addresses spill into the next /24, so a
     /// list can then be short or hold a neighbouring rack's servers.
-    pub(crate) fn servers_under(&self, pod: u32, tor: u32) -> Vec<ServerId> {
+    fn servers_under(&self, pod: u32, tor: u32) -> Vec<ServerId> {
         let subnet = rocescale_topology::tor_subnet(pod, tor);
         self.0.get(&subnet).cloned().unwrap_or_default()
     }
@@ -864,45 +817,203 @@ impl SubnetIndex {
 
 #[derive(Debug, Clone)]
 pub(crate) struct ServerInfo {
-    pub(crate) topo_idx: usize,
+    topo_idx: usize,
     /// Owning shard (always 0 in a single-world [`Cluster`]).
     pub(crate) shard: u32,
     /// Shard-local sim node id.
-    pub(crate) sim: NodeId,
-    pub(crate) kind: ServerKind,
-    pub(crate) ip: u32,
-    pub(crate) pod: u32,
-    pub(crate) tor_topo_idx: usize,
+    sim: NodeId,
+    kind: ServerKind,
+    ip: u32,
+    pod: u32,
+    /// The serving ToR's index into the cluster's switch list.
+    tor: usize,
 }
 
 #[derive(Debug, Clone)]
-pub(crate) struct SwitchInfo {
-    pub(crate) topo_idx: usize,
+struct SwitchInfo {
+    topo_idx: usize,
     /// Owning shard (always 0 in a single-world [`Cluster`]).
-    pub(crate) shard: u32,
+    shard: u32,
     /// Shard-local sim node id.
-    pub(crate) sim: NodeId,
-    pub(crate) tier: Tier,
-    pub(crate) name: String,
+    sim: NodeId,
+    tier: Tier,
+    name: String,
 }
 
-/// A running cluster: the simulation world plus the index structures to
+mod sealed {
+    /// Closes [`Engine`](super::Engine) to the two engines below.
+    pub trait Sealed {}
+    impl Sealed for rocescale_sim::World {}
+    impl Sealed for rocescale_sim::ShardedWorld {}
+}
+
+/// The event engine under a [`Cluster`]: one [`World`] (the default —
+/// the golden-trace path) or a [`ShardedWorld`] of per-pod worlds
+/// advanced through the conservative exchange. Every cluster method
+/// reaches devices through [`worlds`](Engine::worlds) and its owning
+/// shard index, so one method body serves both. Sealed: no other
+/// engine exists.
+pub trait Engine: sealed::Sealed {
+    /// Take ownership of the built worlds, one per shard.
+    fn from_worlds(worlds: Vec<World>) -> Self;
+    /// Advance every world to `t`.
+    fn run_until(&mut self, t: SimTime);
+    /// Current simulated time (the common horizon of all shards).
+    fn now(&self) -> SimTime;
+    /// Every world, in shard order.
+    fn worlds(&self) -> &[World];
+    /// Mutably borrow shard `s`'s world.
+    fn world_mut(&mut self, s: usize) -> &mut World;
+}
+
+impl Engine for World {
+    fn from_worlds(mut worlds: Vec<World>) -> World {
+        assert_eq!(worlds.len(), 1, "a single-world cluster has one shard");
+        worlds.pop().expect("one world")
+    }
+
+    fn run_until(&mut self, t: SimTime) {
+        World::run_until(self, t)
+    }
+
+    fn now(&self) -> SimTime {
+        World::now(self)
+    }
+
+    fn worlds(&self) -> &[World] {
+        std::slice::from_ref(self)
+    }
+
+    fn world_mut(&mut self, s: usize) -> &mut World {
+        debug_assert_eq!(s, 0, "a single-world cluster has one shard");
+        self
+    }
+}
+
+impl Engine for ShardedWorld {
+    fn from_worlds(worlds: Vec<World>) -> ShardedWorld {
+        ShardedWorld::new(worlds)
+    }
+
+    fn run_until(&mut self, t: SimTime) {
+        ShardedWorld::run_until(self, t)
+    }
+
+    fn now(&self) -> SimTime {
+        ShardedWorld::now(self)
+    }
+
+    fn worlds(&self) -> &[World] {
+        ShardedWorld::worlds(self)
+    }
+
+    fn world_mut(&mut self, s: usize) -> &mut World {
+        ShardedWorld::world_mut(self, s)
+    }
+}
+
+/// A running cluster: the simulation engine plus the index structures to
 /// reach every device.
-pub struct Cluster {
-    /// The simulation world (exposed for advanced scenarios: fault
-    /// injection timers, custom nodes).
-    pub world: World,
+///
+/// `Cluster` (that is, `Cluster<World>`) runs every device in one world;
+/// [`ShardedCluster`] (`Cluster<ShardedWorld>`) spreads them over
+/// per-pod worlds. The methods here serve both: each server and switch
+/// records its owning shard, and observation runs in per-shard banks
+/// (telemetry hub, fleet gauges, trace bank, Pingmesh mirror) that
+/// reduce to the single-world behaviour with one shard.
+pub struct Cluster<E: Engine = World> {
+    /// The simulation engine (exposed for advanced scenarios: fault
+    /// injection timers, custom nodes, engine statistics).
+    pub world: E,
     topo: Topology,
     spec: ClosSpec,
-    servers: Vec<ServerInfo>,
+    pub(crate) partition: Partition,
+    pub(crate) servers: Vec<ServerInfo>,
     subnets: SubnetIndex,
     switches: Vec<SwitchInfo>,
-    telemetry: MetricsHub,
-    tele: ClusterTele,
+    /// Per-shard telemetry banks; shard 0's is the builder's hub.
+    pub(crate) hubs: Vec<MetricsHub>,
+    /// Per-shard fleet gauges and queue scopes, parallel to `hubs`.
+    obs: Vec<ShardObs>,
     deadlock: DeadlockProbe,
+    /// Per-shard trace banks (parallel to `hubs`) and the caller's sink
+    /// they merge into; both empty/none unless a sink was configured on
+    /// a multi-shard build.
+    banks: Vec<MemorySink>,
+    sink: Option<Box<dyn TraceSink>>,
 }
 
-impl Cluster {
+impl<E: Engine> Cluster<E> {
+    fn from_parts(parts: BuiltParts) -> Cluster<E> {
+        let BuiltParts {
+            spec,
+            worlds,
+            partition,
+            probe: (probe_switches, probe_links),
+            topo,
+            servers,
+            subnets,
+            switches,
+            hubs,
+            banks,
+            sink,
+        } = parts;
+        // Live deadlock probe, then the fleet-level gauges published at
+        // each sample tick (registration order is part of the hub's
+        // observable layout, so it stays fixed).
+        let deadlock = DeadlockProbe::new(
+            &hubs[0],
+            probe_switches,
+            probe_links,
+            vec![Priority::new(3), Priority::new(4)],
+            3,
+        );
+        let obs = hubs
+            .iter()
+            .enumerate()
+            .map(|(s, hub)| ShardObs::register(hub, s as u32, &switches))
+            .collect();
+        Cluster {
+            world: E::from_worlds(worlds),
+            topo,
+            spec,
+            partition,
+            servers,
+            subnets,
+            switches,
+            hubs,
+            obs,
+            deadlock,
+            banks,
+            sink,
+        }
+    }
+
+    /// Borrow device `sim` in shard `shard`'s world.
+    fn node<T: Node>(&self, shard: u32, sim: NodeId) -> &T {
+        self.world.worlds()[shard as usize].node(sim)
+    }
+
+    /// Mutably borrow device `sim` in shard `shard`'s world.
+    fn node_mut<T: Node>(&mut self, shard: u32, sim: NodeId) -> &mut T {
+        self.world.world_mut(shard as usize).node_mut(sim)
+    }
+
+    /// Borrow server `id`, which must be of `kind`.
+    fn host<T: Node>(&self, id: ServerId, kind: ServerKind) -> &T {
+        let s = &self.servers[id.0];
+        assert_eq!(s.kind, kind);
+        self.node(s.shard, s.sim)
+    }
+
+    /// Mutably borrow server `id`, which must be of `kind`.
+    fn host_mut<T: Node>(&mut self, id: ServerId, kind: ServerKind) -> &mut T {
+        let s = &self.servers[id.0];
+        assert_eq!(s.kind, kind);
+        let (shard, sim) = (s.shard, s.sim);
+        self.node_mut(shard, sim)
+    }
+
     /// The Clos spec this cluster was built from.
     pub fn spec(&self) -> &ClosSpec {
         &self.spec
@@ -953,38 +1064,35 @@ impl Cluster {
         self.servers[id.0].kind
     }
 
-    /// The sim node id of a server (for fault-injection timers).
+    /// The sim node id of a server in its owning shard's world (for
+    /// fault-injection timers).
     pub fn server_node(&self, id: ServerId) -> NodeId {
         self.servers[id.0].sim
     }
 
     /// Two servers share a ToR?
     pub fn same_tor(&self, a: ServerId, b: ServerId) -> bool {
-        self.servers[a.0].tor_topo_idx == self.servers[b.0].tor_topo_idx
+        self.servers[a.0].tor == self.servers[b.0].tor
     }
 
     /// Borrow an RDMA server.
     pub fn rdma(&self, id: ServerId) -> &RdmaHost {
-        assert_eq!(self.servers[id.0].kind, ServerKind::Rdma);
-        self.world.node::<RdmaHost>(self.servers[id.0].sim)
+        self.host(id, ServerKind::Rdma)
     }
 
     /// Mutably borrow an RDMA server.
     pub fn rdma_mut(&mut self, id: ServerId) -> &mut RdmaHost {
-        assert_eq!(self.servers[id.0].kind, ServerKind::Rdma);
-        self.world.node_mut::<RdmaHost>(self.servers[id.0].sim)
+        self.host_mut(id, ServerKind::Rdma)
     }
 
     /// Borrow a TCP server.
     pub fn tcp(&self, id: ServerId) -> &TcpHost {
-        assert_eq!(self.servers[id.0].kind, ServerKind::Tcp);
-        self.world.node::<TcpHost>(self.servers[id.0].sim)
+        self.host(id, ServerKind::Tcp)
     }
 
     /// Mutably borrow a TCP server.
     pub fn tcp_mut(&mut self, id: ServerId) -> &mut TcpHost {
-        assert_eq!(self.servers[id.0].kind, ServerKind::Tcp);
-        self.world.node_mut::<TcpHost>(self.servers[id.0].sim)
+        self.host_mut(id, ServerKind::Tcp)
     }
 
     /// Number of switches.
@@ -995,12 +1103,15 @@ impl Cluster {
     /// Borrow switch `i` (iteration order: ToRs and leaves pod-major,
     /// then spines — the topology's order).
     pub fn switch(&self, i: usize) -> &Switch {
-        self.world.node::<Switch>(self.switches[i].sim)
+        let s = &self.switches[i];
+        self.node(s.shard, s.sim)
     }
 
     /// Mutably borrow switch `i`.
     pub fn switch_mut(&mut self, i: usize) -> &mut Switch {
-        self.world.node_mut::<Switch>(self.switches[i].sim)
+        let s = &self.switches[i];
+        let (shard, sim) = (s.shard, s.sim);
+        self.node_mut(shard, sim)
     }
 
     /// A switch's display name.
@@ -1020,17 +1131,14 @@ impl Cluster {
 
     /// The ToR switch index (into [`Cluster::switch`]) serving a server.
     pub fn tor_of(&self, id: ServerId) -> usize {
-        let t = self.servers[id.0].tor_topo_idx;
-        self.switches
-            .iter()
-            .position(|s| s.topo_idx == t)
-            .expect("server's ToR exists")
+        self.servers[id.0].tor
     }
 
     // ---- workload wiring ----
 
     /// Create a QP pair between two RDMA servers. `udp_src` selects the
-    /// ECMP path; both directions share it.
+    /// ECMP path; both directions share it. The endpoints may live in
+    /// different shards: their traffic then rides the exchange.
     pub fn connect_qp(
         &mut self,
         a: ServerId,
@@ -1048,7 +1156,7 @@ impl Cluster {
         (ha, hb)
     }
 
-    /// Create a TCP connection between two TCP servers.
+    /// Create a TCP connection between two TCP servers (in any shards).
     pub fn connect_tcp(
         &mut self,
         a: ServerId,
@@ -1067,51 +1175,93 @@ impl Cluster {
 
     // ---- running ----
 
-    /// Run the simulation until `t`.
+    /// Run the simulation until `t` (sharded: through
+    /// conservative-lookahead epochs).
     ///
     /// With telemetry enabled the run is chunked at sample boundaries so
-    /// time-series points land on the hub's cadence — and, with a trace
-    /// sink streaming queue samples, each epoch also emits one
-    /// [`QueueSample`] per switch. Chunked `run_until` dispatches the
-    /// exact same event sequence as one big call, so the dispatch digest
-    /// is byte-identical with telemetry (and any sink) on or off.
+    /// time-series points land on the hub's cadence in every shard's
+    /// bank: fleet gauges refresh, each switch streams one
+    /// [`QueueSample`] into its shard's bank (with a queue-class sink
+    /// attached), and the deadlock probe reads the barrier-merged
+    /// pause/occupancy view of all shard worlds. Chunked `run_until`
+    /// dispatches the exact same event sequence as one big call, so the
+    /// dispatch digest is byte-identical with telemetry (and any sink)
+    /// on or off, threaded or serial.
     pub fn run_until(&mut self, t: SimTime) {
-        if self.telemetry.is_enabled() {
-            while let Some(ns) = self.telemetry.next_sample_ps() {
+        if self.hubs[0].is_enabled() {
+            while let Some(ns) = self.hubs[0].next_sample_ps() {
                 if ns >= t.as_ps() {
                     break;
                 }
                 self.world.run_until(SimTime(ns));
                 self.publish_gauges();
                 self.stream_queue_samples(ns);
-                self.deadlock.observe(&self.world, SimTime(ns));
-                self.telemetry.maybe_sample(ns);
+                self.deadlock.observe(self.world.worlds(), SimTime(ns));
+                for h in &self.hubs {
+                    h.maybe_sample(ns);
+                }
             }
         }
         self.world.run_until(t);
         // A run boundary is where readers expect the exported trace to
-        // be complete; no-op without a sink.
-        self.telemetry.flush_sink();
+        // be complete: move every bank's records into the caller's sink
+        // (multi-shard) or flush the directly attached sink (one shard).
+        self.merge_trace_banks();
+        for h in &self.hubs {
+            h.flush_sink();
+        }
     }
 
-    /// Stream one queue-depth sample per switch at epoch boundary `ns`
-    /// (no-op unless a sink with the queue class is attached).
+    /// Stream one queue-depth sample per switch into its owning shard's
+    /// bank at epoch boundary `ns` (no-op for shards without a
+    /// queue-class sink).
     fn stream_queue_samples(&self, ns: u64) {
-        if !self.telemetry.streams_queues() {
+        for (hub, obs) in self.hubs.iter().zip(&self.obs) {
+            if !hub.streams_queues() {
+                continue;
+            }
+            for (&i, &scope) in obs.switch_idx.iter().zip(&obs.switch_scopes) {
+                let sw = self.switch(i);
+                hub.stream_queue(
+                    ns,
+                    scope,
+                    QueueSample {
+                        backlog_bytes: sw.lossless_backlog(),
+                        max_port_bytes: sw.max_egress_depth(),
+                        tx_pkts: sw.total_data_tx_pkts(),
+                    },
+                );
+            }
+        }
+    }
+
+    /// Drain every shard's trace bank into the caller's sink, merged in
+    /// `(time, shard, emission order)` — a pure function of the records,
+    /// so threaded and serial runs export byte-identical files. Each
+    /// line carries its owning shard in the `shard` field. Records never
+    /// interleave wrongly across successive calls: a chunk's records all
+    /// precede the next chunk's in simulated time. No-op with one shard,
+    /// whose sink is attached to the hub directly.
+    fn merge_trace_banks(&mut self) {
+        let Some(sink) = self.sink.as_mut() else {
             return;
+        };
+        let mut all: Vec<(u64, u32, usize, OwnedRecord)> = Vec::new();
+        for (s, bank) in self.banks.iter().enumerate() {
+            for (i, rec) in bank.take_records().into_iter().enumerate() {
+                all.push((rec.t_ps, s as u32, i, rec));
+            }
         }
-        for i in 0..self.switches.len() {
-            let sw = self.switch(i);
-            self.telemetry.stream_queue(
-                ns,
-                self.tele.switch_scopes[i],
-                QueueSample {
-                    backlog_bytes: sw.lossless_backlog(),
-                    max_port_bytes: sw.max_egress_depth(),
-                    tx_pkts: sw.total_data_tx_pkts(),
-                },
-            );
+        all.sort_by_key(|&(t, s, i, _)| (t, s, i));
+        for (_, s, _, rec) in all {
+            sink.write(&StreamRecord {
+                t_ps: rec.t_ps,
+                scope: &rec.scope,
+                shard: Some(s),
+                body: rec.body,
+            });
         }
+        sink.flush();
     }
 
     /// The live deadlock probe: cycle history, verdicts, last wait graph.
@@ -1125,46 +1275,45 @@ impl Cluster {
     /// found this epoch, if any.
     pub fn deadlock_observe_now(&mut self) -> Option<Vec<String>> {
         let now = self.world.now();
-        self.deadlock.observe(&self.world, now)
+        self.deadlock.observe(self.world.worlds(), now)
     }
 
-    /// The cluster's telemetry hub (disabled unless one was attached via
-    /// [`ClusterBuilder::telemetry`]).
+    /// The cluster's telemetry hub — shard 0's bank when sharded —
+    /// disabled unless the [`InstrumentationProfile`] enabled one.
     pub fn telemetry(&self) -> &MetricsHub {
-        &self.telemetry
+        &self.hubs[0]
     }
 
-    /// Refresh fleet-level gauges (engine progress, per-switch lossless
-    /// backlog) from live state. Called automatically at each sample
-    /// boundary; call manually before rendering JSON mid-run.
-    pub fn publish_gauges(&mut self) {
-        if !self.telemetry.is_enabled() {
-            return;
-        }
-        self.telemetry.set_gauge(
-            self.tele.engine_events,
-            self.world.events_processed() as f64,
-        );
-        self.telemetry.set_gauge(
-            self.tele.engine_pending,
-            (self.world.sched_stats().pushed
-                - self.world.sched_stats().dispatched
-                - self.world.sched_stats().cancelled) as f64,
-        );
-        for i in 0..self.switches.len() {
-            let backlog = self.switch(i).lossless_backlog() as f64;
-            self.telemetry
-                .set_gauge(self.tele.switch_backlog[i], backlog);
+    /// Refresh each shard's fleet-level gauges (engine progress,
+    /// per-switch lossless backlog) from live state. Called
+    /// automatically at each sample boundary; call manually before
+    /// rendering JSON mid-run.
+    pub fn publish_gauges(&self) {
+        for (s, (hub, obs)) in self.hubs.iter().zip(&self.obs).enumerate() {
+            if !hub.is_enabled() {
+                continue;
+            }
+            let w = &self.world.worlds()[s];
+            hub.set_gauge(obs.engine_events, w.events_processed() as f64);
+            let st = w.sched_stats();
+            hub.set_gauge(
+                obs.engine_pending,
+                (st.pushed - st.dispatched - st.cancelled) as f64,
+            );
+            for (&i, &gauge) in obs.switch_idx.iter().zip(&obs.switch_backlog) {
+                hub.set_gauge(gauge, self.switch(i).lossless_backlog() as f64);
+            }
         }
     }
 
     /// Run for `ms` more milliseconds of simulated time.
     pub fn run_for_millis(&mut self, ms: u64) {
-        let t = self.world.now() + SimTime::from_millis(ms);
+        let t = self.now() + SimTime::from_millis(ms);
         self.run_until(t);
     }
 
-    /// Current simulated time.
+    /// Current simulated time (sharded: the horizon every shard has
+    /// reached).
     pub fn now(&self) -> SimTime {
         self.world.now()
     }
@@ -1178,15 +1327,17 @@ impl Cluster {
             .sum()
     }
 
-    /// Total pause frames received by servers — the Figure 9/10 metric.
-    pub fn total_server_pause_rx(&self) -> u64 {
+    /// Every RDMA host, in server order.
+    fn rdma_hosts(&self) -> impl Iterator<Item = &RdmaHost> {
         self.servers
             .iter()
-            .map(|s| match s.kind {
-                ServerKind::Rdma => self.world.node::<RdmaHost>(s.sim).stats.pause_rx,
-                ServerKind::Tcp => 0,
-            })
-            .sum()
+            .filter(|s| s.kind == ServerKind::Rdma)
+            .map(|s| self.node(s.shard, s.sim))
+    }
+
+    /// Total pause frames received by servers — the Figure 9/10 metric.
+    pub fn total_server_pause_rx(&self) -> u64 {
+        self.rdma_hosts().map(|h| h.stats.pause_rx).sum()
     }
 
     /// Total drops of a given reason across switches.
@@ -1203,21 +1354,26 @@ impl Cluster {
 
     /// Sum of receiver-side RDMA goodput bytes across all servers.
     pub fn total_rdma_goodput(&self) -> u64 {
-        self.servers
-            .iter()
-            .filter(|s| s.kind == ServerKind::Rdma)
-            .map(|s| self.world.node::<RdmaHost>(s.sim).total_goodput_bytes())
-            .sum()
+        self.rdma_hosts().map(RdmaHost::total_goodput_bytes).sum()
+    }
+
+    /// Aggregate flow-cache hits and misses across every switch.
+    pub fn flow_cache_totals(&self) -> (u64, u64) {
+        let mut hits = 0;
+        let mut misses = 0;
+        for i in 0..self.switches.len() {
+            let st = self.switch(i).flow_cache_stats();
+            hits += st.hits;
+            misses += st.misses;
+        }
+        (hits, misses)
     }
 
     /// Drain all RDMA RTT samples collected so far (ps).
     pub fn take_rdma_rtts(&mut self) -> Vec<u64> {
         let mut out = Vec::new();
-        for s in &self.servers {
-            if s.kind == ServerKind::Rdma {
-                let host = self.world.node_mut::<RdmaHost>(s.sim);
-                out.append(&mut host.stats.rtt_samples_ps);
-            }
+        for id in self.servers_of_kind(ServerKind::Rdma) {
+            out.append(&mut self.rdma_mut(id).stats.rtt_samples_ps);
         }
         out
     }
@@ -1225,11 +1381,8 @@ impl Cluster {
     /// Drain all TCP RTT samples collected so far (ps).
     pub fn take_tcp_rtts(&mut self) -> Vec<u64> {
         let mut out = Vec::new();
-        for s in &self.servers {
-            if s.kind == ServerKind::Tcp {
-                let host = self.world.node_mut::<TcpHost>(s.sim);
-                out.append(&mut host.stats.rtt_samples_ps);
-            }
+        for id in self.servers_of_kind(ServerKind::Tcp) {
+            out.append(&mut self.tcp_mut(id).stats.rtt_samples_ps);
         }
         out
     }
@@ -1249,6 +1402,7 @@ impl Cluster {
     /// Install the RDMA Pingmesh service (§5.3): every RDMA server probes
     /// `fanout` others (512-byte payloads) every `interval`, chosen
     /// round-robin so ToR-, podset- and DC-scope pairs all get coverage.
+    /// Probes that cross shards ride the exchange like any other flow.
     /// Returns the probed pairs; collect results with
     /// [`Cluster::pingmesh_report`].
     pub fn install_pingmesh(
@@ -1268,12 +1422,12 @@ impl Cluster {
                     *a,
                     b,
                     (20_000 + i * 17 + k) as u16,
-                    rocescale_nic::QpApp::Pinger {
+                    QpApp::Pinger {
                         payload: rocescale_monitor::pingmesh::PROBE_BYTES,
                         interval,
                         start_at: SimTime::from_micros(10 + (i * 13 + k * 7) as u64),
                     },
-                    rocescale_nic::QpApp::Echo {
+                    QpApp::Echo {
                         reply_len: rocescale_monitor::pingmesh::PROBE_BYTES,
                     },
                 );
@@ -1283,35 +1437,36 @@ impl Cluster {
         pairs
     }
 
-    /// Aggregate all collected probe RTTs into a Pingmesh report. The
-    /// report is bound to the cluster's telemetry hub, so with telemetry
-    /// enabled the per-scope percentiles also land in hub snapshots and
-    /// exported traces (`pingmesh.{tor,podset,dc}.*`).
+    /// Aggregate all collected probe RTTs into a fleet Pingmesh report.
+    ///
+    /// Each RTT sample is also mirrored into the *prober's owning
+    /// shard's* telemetry bank, so with telemetry enabled the per-scope
+    /// counts and latencies (`pingmesh.{tor,podset,dc}.*`) land in hub
+    /// snapshots and exported traces next to that shard's other metrics.
+    /// The returned aggregate is unbound: it sees every shard's samples,
+    /// which no single bank does.
     ///
     /// Because a host logs its RTT samples in completion order across all
     /// of its prober QPs, per-pair attribution uses each *prober host's*
     /// dominant scope: hosts whose probes span several scopes contribute
     /// to each (per-QP logs would be the production refinement).
-    pub fn pingmesh_report(
-        &mut self,
-        pairs: &[(ServerId, ServerId)],
-    ) -> rocescale_monitor::Pingmesh {
-        use rocescale_monitor::pingmesh::ProbeResult;
-        let mut pm = rocescale_monitor::Pingmesh::with_hub(self.telemetry.clone());
-        for (a, b) in pairs {
-            let scope = self.scope_of(*a, *b);
-            let samples = std::mem::take(
-                &mut self
-                    .world
-                    .node_mut::<RdmaHost>(self.servers[a.0].sim)
-                    .stats
-                    .rtt_samples_ps,
-            );
+    pub fn pingmesh_report(&mut self, pairs: &[(ServerId, ServerId)]) -> Pingmesh {
+        let mut banks: Vec<Pingmesh> = self
+            .hubs
+            .iter()
+            .map(|h| Pingmesh::with_hub(h.clone()))
+            .collect();
+        let mut fleet = Pingmesh::new();
+        for &(a, b) in pairs {
+            let scope = self.scope_of(a, b);
+            let shard = self.servers[a.0].shard as usize;
+            let samples = std::mem::take(&mut self.rdma_mut(a).stats.rtt_samples_ps);
             for s in samples {
-                pm.record(scope, ProbeResult::Rtt(s));
+                banks[shard].record(scope, ProbeResult::Rtt(s));
+                fleet.record(scope, ProbeResult::Rtt(s));
             }
         }
-        pm
+        fleet
     }
 
     /// Per-switch (name, progress snapshot) for the deadlock detector.
@@ -1334,6 +1489,7 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rocescale_sim::DigestMode;
 
     #[test]
     fn builder_is_send() {
@@ -1346,7 +1502,10 @@ mod tests {
     #[test]
     fn digest_off_cluster_matches_on_cluster() {
         let run = |mode| {
-            let mut c = ClusterBuilder::single_tor(3).seed(5).digest(mode).build();
+            let mut c = ClusterBuilder::single_tor(3)
+                .seed(5)
+                .instrumentation(InstrumentationProfile::paper_default().digest(mode))
+                .build();
             let ids = c.all_servers();
             c.connect_qp(
                 ids[1],

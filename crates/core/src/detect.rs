@@ -61,32 +61,13 @@ pub struct DeadlockProbe {
 }
 
 impl DeadlockProbe {
-    /// Build a probe over `switches` (name, sim node) watching `links`,
-    /// treating `lossless` priorities as pause-eligible. `window` is the
-    /// number of consecutive zero-progress rounds before a device counts
-    /// as stuck (3 matches the offline detector's convention). All
-    /// switches live in one world; use [`DeadlockProbe::new_sharded`]
-    /// when they are spread over shards.
+    /// Build a probe over `switches` — each a (display name, owning
+    /// shard, shard-local sim node); single-world fabrics put every
+    /// switch on shard 0 — watching `links`, treating `lossless`
+    /// priorities as pause-eligible. `window` is the number of
+    /// consecutive zero-progress rounds before a device counts as stuck
+    /// (3 matches the offline detector's convention).
     pub fn new(
-        hub: &MetricsHub,
-        switches: Vec<(String, NodeId)>,
-        links: Vec<ProbeLink>,
-        lossless: Vec<Priority>,
-        window: u32,
-    ) -> DeadlockProbe {
-        DeadlockProbe::new_sharded(
-            hub,
-            switches.into_iter().map(|(n, id)| (n, 0, id)).collect(),
-            links,
-            lossless,
-            window,
-        )
-    }
-
-    /// Like [`DeadlockProbe::new`], but each switch names its owning
-    /// shard — the form the sharded cluster uses so one probe can read
-    /// pause/occupancy state across every shard's world at a barrier.
-    pub fn new_sharded(
         hub: &MetricsHub,
         switches: Vec<(String, u32, NodeId)>,
         links: Vec<ProbeLink>,
@@ -112,19 +93,15 @@ impl DeadlockProbe {
         }
     }
 
-    /// Run one detection epoch against live switch state. Returns the
-    /// wait cycle found this epoch, if any. Read-only on the world.
-    pub fn observe(&mut self, world: &World, now: SimTime) -> Option<Vec<String>> {
-        self.observe_merged(std::slice::from_ref(world), now)
-    }
-
-    /// One detection epoch over the barrier-merged view of a sharded
-    /// run: `worlds[s]` is shard `s`'s world, and every monitored switch
-    /// is read from its owning shard. Called at a barrier (all shards at
-    /// a common horizon), the pause/occupancy view is exactly what a
-    /// single merged world would show — pause state and egress depths
-    /// are plain per-switch state, not in-flight events.
-    pub fn observe_merged(&mut self, worlds: &[World], now: SimTime) -> Option<Vec<String>> {
+    /// Run one detection epoch against live switch state: `worlds[s]`
+    /// is shard `s`'s world (a single world is a one-element slice), and
+    /// every monitored switch is read from its owning shard. Called at a
+    /// barrier (all shards at a common horizon), the pause/occupancy
+    /// view is exactly what a single merged world would show — pause
+    /// state and egress depths are plain per-switch state, not in-flight
+    /// events. Returns the wait cycle found this epoch, if any.
+    /// Read-only on the worlds.
+    pub fn observe(&mut self, worlds: &[World], now: SimTime) -> Option<Vec<String>> {
         self.epochs += 1;
         self.hub.incr(self.c_epochs);
         // Topological half: rebuild the wait graph from pause state.

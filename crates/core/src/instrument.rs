@@ -3,14 +3,10 @@
 //! [`FabricProfile`], [`TransportProfile`] and [`FaultProfile`] cover
 //! what the fabric *does*; [`InstrumentationProfile`] covers how a run
 //! is *observed* — the telemetry hub, the dispatch-digest mode, the
-//! dispatch profiler, and the streaming trace sink. These four knobs
-//! were previously loose `ClusterBuilder` setters that grew one at a
-//! time (PRs 2, 5, and the engine work); adding the trace sink as a
-//! fifth loose setter would have continued the sprawl, so they collapse
-//! into one coherent group with the same shape as the other profiles:
-//! `paper_default()` plus chainable setters. The old builder setters
-//! remain as thin shims (see [`crate::ClusterBuilder::telemetry`]),
-//! mirroring the `dcqcn(bool)` → `CcKind` migration.
+//! dispatch profiler, and the streaming trace sink — as one coherent
+//! group with the same shape as the other profiles: `paper_default()`
+//! plus chainable setters, passed whole through
+//! [`ClusterBuilder::instrumentation`](crate::ClusterBuilder::instrumentation).
 //!
 //! Everything in this profile is observation-only: any combination of
 //! settings dispatches the exact golden event trace (tier-1 tests pin

@@ -8,7 +8,10 @@
 //!   [`rocescale_topology::Topology`] into simulated switches and hosts,
 //!   wires routes/ARP/MAC state, and exposes workload installation
 //!   (QP pairs, saturating senders, incast fan-outs, Pingmesh probers,
-//!   TCP connections) plus fleet-wide counter aggregation.
+//!   TCP connections) plus fleet-wide counter aggregation. One
+//!   implementation serves both engines: `Cluster` runs in one world,
+//!   and [`ShardedCluster`] (`Cluster<ShardedWorld>`, see [`sharded`])
+//!   runs per-pod worlds behind the conservative exchange.
 //! * [`deployment`] — the paper's staged onboarding (§6.1): lab → test
 //!   cluster → PFC at ToR only → Podset → up to Spine, expressed as which
 //!   tiers run lossless classes.
@@ -30,7 +33,7 @@ pub mod scenarios;
 pub mod sharded;
 pub mod sweep;
 
-pub use cluster::{Cluster, ClusterBuilder, PfcMode, ServerId, ServerKind};
+pub use cluster::{Cluster, ClusterBuilder, Engine, PfcMode, ServerId, ServerKind};
 pub use deployment::DeploymentStage;
 pub use detect::{DeadlockProbe, ProbeLink};
 pub use instrument::InstrumentationProfile;

@@ -400,10 +400,10 @@ pub fn run_scripted(fix_enabled: bool, dur: SimTime) -> ScriptedDeadlockResult {
     // Live detector over every switch egress (fabric links in both
     // directions; server ports appear as chain leaves, never cycles).
     let switches = vec![
-        ("T0".to_string(), f.t0),
-        ("T1".to_string(), f.t1),
-        ("La".to_string(), f.la),
-        ("Lb".to_string(), f.lb),
+        ("T0".to_string(), 0, f.t0),
+        ("T1".to_string(), 0, f.t1),
+        ("La".to_string(), 0, f.la),
+        ("Lb".to_string(), 0, f.lb),
     ];
     let link = |switch: usize, port: u16, peer: &str| ProbeLink {
         switch,
@@ -440,7 +440,7 @@ pub fn run_scripted(fix_enabled: bool, dur: SimTime) -> ScriptedDeadlockResult {
     while t < dur {
         t += sample;
         f.world.run_until(t);
-        probe.observe(&f.world, t);
+        probe.observe(std::slice::from_ref(&f.world), t);
         if t.as_ps() * 4 <= dur.as_ps() * 3 {
             goodput_at_three_quarters = f.world.node::<RdmaHost>(f.s5).total_goodput_bytes();
         }
@@ -448,7 +448,7 @@ pub fn run_scripted(fix_enabled: bool, dur: SimTime) -> ScriptedDeadlockResult {
 
     let fix_drops: u64 = switches
         .iter()
-        .map(|(_, id)| {
+        .map(|(_, _, id)| {
             f.world
                 .node::<Switch>(*id)
                 .stats

@@ -1,11 +1,14 @@
-//! Differential check of `servers_under`, which reads a subnet index
-//! built once per cluster, against the filter over every server's
-//! address that it replaced (kept here only, as the reference). Both
-//! cluster flavours must agree with it on every rack, including the
-//! aliased racks of a shape with more than 254 servers per ToR.
+//! Differential checks of the cluster's build-time indexes against the
+//! scans they replaced (kept here only, as the references):
+//! `servers_under`, which reads a subnet index, against the filter over
+//! every server's address — on every rack, including the aliased racks
+//! of a shape with more than 254 servers per ToR — and `tor_of`, which
+//! reads each server's stored ToR switch index, against a scan of the
+//! switch list for the ToR the topology wires the server to. Both
+//! cluster flavours must agree with both references.
 
-use rocescale_core::{ClusterBuilder, ExecutionProfile, ServerId};
-use rocescale_topology::{tor_subnet, ClosSpec};
+use rocescale_core::{Cluster, ClusterBuilder, Engine, ExecutionProfile, ServerId};
+use rocescale_topology::{tor_subnet, ClosSpec, Tier};
 
 fn scan(ips: &[u32], pod: u32, tor: u32) -> Vec<ServerId> {
     let subnet = tor_subnet(pod, tor);
@@ -13,6 +16,21 @@ fn scan(ips: &[u32], pod: u32, tor: u32) -> Vec<ServerId> {
         .filter(|&i| ips[i] & 0xffff_ff00 == subnet)
         .map(ServerId)
         .collect()
+}
+
+/// `tor_of` for every server must name the switch a scan of the switch
+/// list finds for the server's ToR in the topology.
+fn check_tor_of<E: Engine>(c: &Cluster<E>, what: &str) {
+    let topo = c.topology();
+    let servers = topo.of_tier(Tier::Server);
+    assert_eq!(servers.len(), c.server_count(), "{what}");
+    for (i, &node) in servers.iter().enumerate() {
+        let tor = &topo.nodes[topo.tor_of_server(node)].name;
+        let want = (0..c.switch_count())
+            .position(|k| c.switch_name(k) == tor)
+            .expect("every ToR is a switch");
+        assert_eq!(c.tor_of(ServerId(i)), want, "{what}: server {i}");
+    }
 }
 
 /// Every rack of the shape, plus one /24 past the last ToR of each pod
@@ -26,7 +44,7 @@ fn racks(spec: &ClosSpec) -> Vec<(u32, u32)> {
 }
 
 #[test]
-fn servers_under_equals_the_address_filter() {
+fn indexed_lookups_equal_the_reference_scans() {
     for spec in [
         ClosSpec::uniform_40g(1, 4, 2, 4, 3),
         ClosSpec::uniform_40g(3, 5, 4, 8, 7),
@@ -46,6 +64,8 @@ fn servers_under_equals_the_address_filter() {
             assert_eq!(plain.servers_under(p, t), want, "{spec:?} rack {p}/{t}");
             assert_eq!(sharded.servers_under(p, t), want, "{spec:?} rack {p}/{t}");
         }
+        check_tor_of(&plain, &format!("{spec:?} plain"));
+        check_tor_of(&sharded, &format!("{spec:?} sharded"));
     }
 }
 

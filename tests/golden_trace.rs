@@ -55,9 +55,12 @@ fn run_profiled(
     let mut cl = ClusterBuilder::two_tier(2, 4)
         .seed(7)
         .engine(engine)
-        .telemetry(hub)
-        .digest(digest)
-        .profile(profile)
+        .instrumentation(
+            InstrumentationProfile::paper_default()
+                .telemetry(hub)
+                .digest(digest)
+                .profiler(profile),
+        )
         .build();
     for i in 1..4usize {
         cl.connect_qp(
@@ -168,7 +171,7 @@ fn unfired_fault_script_preserves_the_golden_trace() {
     use rocescale_core::{FaultProfile, ScriptAction};
     let mut cl = ClusterBuilder::two_tier(2, 4)
         .seed(7)
-        .telemetry(MetricsHub::enabled())
+        .instrumentation(InstrumentationProfile::paper_default().telemetry(MetricsHub::enabled()))
         .faults(FaultProfile::paper_default().at(
             SimTime::from_millis(1000), // run ends at 500 µs: never fires
             ScriptAction::SetLossless {
@@ -269,10 +272,11 @@ fn sink_implies_enabled_hub_and_preserves_the_golden_trace() {
     assert!(!mem.is_empty(), "implied hub must actually stream");
 }
 
-/// The deprecated loose builder setters (`telemetry`/`digest`/`profile`)
-/// are shims into [`InstrumentationProfile`]; both surfaces must
-/// configure identical observation and dispatch the identical golden
-/// trace — the PR 4 `dcqcn(bool)` shim-agreement pattern.
+/// The profile assembled field by field in [`run_profiled`] and one
+/// built whole for [`run_instrumented`] must configure identical
+/// observation and dispatch the identical golden trace. (The name
+/// predates the removal of the loose `ClusterBuilder` setters this test
+/// first compared against the profile.)
 #[test]
 fn builder_shims_agree_with_instrumentation_profile() {
     let via_shims = run_full(
@@ -307,8 +311,11 @@ fn batched_and_single_step_dispatch_are_trace_identical() {
     let run_mode = |mode: DispatchMode| {
         let mut cl = ClusterBuilder::two_tier(2, 4)
             .seed(7)
-            .telemetry(MetricsHub::enabled())
-            .profile(ProfileMode::On)
+            .instrumentation(
+                InstrumentationProfile::paper_default()
+                    .telemetry(MetricsHub::enabled())
+                    .profiler(ProfileMode::On),
+            )
             .build();
         cl.world.set_dispatch_mode(mode);
         for i in 1..4usize {

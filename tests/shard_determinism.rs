@@ -20,6 +20,9 @@
 //!    multi-shard build receives every shard's records merged in
 //!    `(time, shard, emission)` order, byte-identical threaded vs
 //!    serial.
+//! 6. TCP hosts run on shards like RDMA hosts: one shard matches the
+//!    plain cluster with a TCP workload, and a cross-pod TCP flow
+//!    delivers through the exchange, byte-identical threaded vs serial.
 //!
 //! The sweep below runs every (topology, seed, shard-count) cell twice,
 //! threaded and serial, and demands byte-equality; a scheduling race,
@@ -27,11 +30,13 @@
 //! all fail loudly here.
 
 use rocescale_core::{
-    ClusterBuilder, ExecutionProfile, FaultProfile, InstrumentationProfile, ScriptAction, ServerId,
+    Cluster, ClusterBuilder, Engine, ExecutionProfile, FaultProfile, InstrumentationProfile,
+    ScriptAction, ServerId, ServerKind,
 };
 use rocescale_monitor::{MemorySink, MetricsHub};
 use rocescale_nic::QpApp;
 use rocescale_sim::{EpochPacing, SimTime};
+use rocescale_tcp::{ConnHandle, TcpApp};
 use rocescale_topology::ClosSpec;
 
 /// Must match `tests/golden_trace.rs` — the committed golden pin.
@@ -62,7 +67,7 @@ fn run_sharded(
 ) -> Fingerprint {
     let mut c = ClusterBuilder::new(spec)
         .seed(seed)
-        .telemetry(MetricsHub::enabled())
+        .instrumentation(InstrumentationProfile::paper_default().telemetry(MetricsHub::enabled()))
         .execution(ExecutionProfile::Sharded { shards })
         .faults(faults)
         .build_sharded();
@@ -145,6 +150,120 @@ fn single_shard_matches_the_plain_cluster_on_a_multi_pod_fabric() {
         "one shard must dispatch the plain cluster's event stream, byte for byte"
     );
     assert_eq!((got.2, got.3), (0, 0), "no exchange with one shard");
+}
+
+/// Odd servers run kernel TCP, even ones RoCEv2: the paper's shared
+/// fabric.
+fn mixed_kinds(i: usize) -> ServerKind {
+    if i % 2 == 1 {
+        ServerKind::Tcp
+    } else {
+        ServerKind::Rdma
+    }
+}
+
+/// Per pod, a (source, destination) pair of `kind` servers: the pod's
+/// first to the next pod's last — a ring of cross-pod flows.
+fn ring<E: Engine>(c: &Cluster<E>, kind: ServerKind) -> Vec<(ServerId, ServerId)> {
+    let pods = c.spec().pods;
+    let of_pod = |p: u32| -> Vec<ServerId> {
+        c.servers_of_kind(kind)
+            .into_iter()
+            .filter(|&s| c.server_pod(s) == p)
+            .collect()
+    };
+    (0..pods)
+        .map(|p| (of_pod(p)[0], *of_pod((p + 1) % pods).last().unwrap()))
+        .collect()
+}
+
+/// A saturating RDMA ring and a saturating TCP ring side by side.
+/// Returns each TCP stream's sending side.
+fn mixed_rings<E: Engine>(c: &mut Cluster<E>) -> Vec<(ServerId, ConnHandle)> {
+    for (k, (a, b)) in ring(c, ServerKind::Rdma).into_iter().enumerate() {
+        c.connect_qp(a, b, 6000 + k as u16, saturate(), QpApp::None);
+    }
+    ring(c, ServerKind::Tcp)
+        .into_iter()
+        .map(|(a, b)| {
+            let app = TcpApp::Saturate { msg_len: 64 * 1024 };
+            (a, c.connect_tcp(a, b, app, TcpApp::None).0)
+        })
+        .collect()
+}
+
+#[test]
+fn single_shard_matches_the_plain_cluster_with_tcp_hosts() {
+    // Guarantee 1 with TCP in the mix: the same workload built plain and
+    // at one shard dispatches the same event stream.
+    let spec = ClosSpec::uniform_40g(4, 2, 2, 4, 3);
+    let dur = SimTime::from_micros(400);
+    let builder = || ClusterBuilder::new(spec).seed(21).server_kind(mixed_kinds);
+
+    let mut plain = builder().build();
+    mixed_rings(&mut plain);
+    plain.run_until(dur);
+
+    let mut one = builder()
+        .execution(ExecutionProfile::Sharded { shards: 1 })
+        .build_sharded();
+    assert_eq!(one.shard_count(), 1);
+    let senders = mixed_rings(&mut one);
+    one.run_until(dur);
+
+    assert_eq!(
+        (one.dispatch_digest(), one.events_processed()),
+        (
+            plain.world.dispatch_digest(),
+            plain.world.events_processed()
+        ),
+        "one shard must dispatch the plain cluster's event stream with TCP hosts"
+    );
+    for (src, conn) in senders {
+        assert!(
+            one.tcp(src).sender_stats(conn).bytes_acked > 0,
+            "every TCP stream must make progress"
+        );
+    }
+}
+
+#[test]
+fn cross_pod_tcp_flow_delivers_through_the_exchange() {
+    // The mixed rings on two shards: every stream crosses the boundary,
+    // so TCP data and ACKs ride the exchange. Threaded and serial epochs
+    // must agree byte for byte.
+    let spec = ClosSpec::uniform_40g(2, 1, 2, 2, 4);
+    let run = |threaded: bool| {
+        let mut c = ClusterBuilder::new(spec)
+            .seed(7)
+            .server_kind(mixed_kinds)
+            .execution(ExecutionProfile::Sharded { shards: 2 })
+            .build_sharded();
+        assert_eq!(c.shard_count(), 2);
+        c.set_threaded(threaded);
+        let senders = mixed_rings(&mut c);
+        c.run_for_millis(2);
+        let acked: Vec<u64> = senders
+            .iter()
+            .map(|&(src, conn)| c.tcp(src).sender_stats(conn).bytes_acked)
+            .collect();
+        (
+            c.dispatch_digest(),
+            c.events_processed(),
+            c.boundary_messages(),
+            acked,
+        )
+    };
+    let threaded = run(true);
+    let serial = run(false);
+    assert_eq!(threaded, serial, "threaded vs serial divergence with TCP");
+    assert!(threaded.2 > 0, "the streams must cross the shard boundary");
+    for acked in &threaded.3 {
+        assert!(
+            *acked >= 64 * 1024,
+            "each cross-pod stream must deliver at least one message: {acked}"
+        );
+    }
 }
 
 #[test]
@@ -240,7 +359,7 @@ fn run_paced(
 ) -> (Fingerprint, u64, u64) {
     let mut c = ClusterBuilder::new(spec)
         .seed(seed)
-        .telemetry(MetricsHub::enabled())
+        .instrumentation(InstrumentationProfile::paper_default().telemetry(MetricsHub::enabled()))
         .execution(ExecutionProfile::Sharded { shards })
         .faults(faults)
         .build_sharded();

@@ -8,7 +8,7 @@
 //! hub observed, never steered) and the same `counters_snapshot()` (the
 //! relaxed atomic adds lost nothing the mutex path counted).
 
-use rocescale_core::{ClusterBuilder, ServerId};
+use rocescale_core::{ClusterBuilder, InstrumentationProfile, ServerId};
 use rocescale_monitor::MetricsHub;
 use rocescale_nic::QpApp;
 use rocescale_sim::SimTime;
@@ -19,7 +19,7 @@ type Observation = (u64, u64, Vec<(String, u64)>, Vec<(String, f64)>);
 fn run_incast(hub: MetricsHub) -> Observation {
     let mut cl = ClusterBuilder::two_tier(2, 4)
         .seed(7)
-        .telemetry(hub)
+        .instrumentation(InstrumentationProfile::paper_default().telemetry(hub))
         .build();
     for i in 1..4usize {
         cl.connect_qp(
